@@ -129,7 +129,7 @@ func (ds *Dataset) Row(i int, dst []float64) []float64 {
 // Construction is O(k): it clones the subspace and defers the O(n·k)
 // row-major gather until Points or Point is first touched. This is what
 // makes the cache-first scoring path allocation-free — a memoised detector
-// can answer from the view's key (dataset name + subspace) without the
+// can answer from the view's key (SourceKey + subspace) without the
 // projection ever being materialised. Views are safe for concurrent use;
 // the first accessor performs the gather exactly once.
 func (ds *Dataset) View(s subspace.Subspace) *View {

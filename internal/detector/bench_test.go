@@ -93,3 +93,18 @@ func BenchmarkCachedDetectorHit(b *testing.B) {
 		c.Scores(ctx, view)
 	}
 }
+
+// BenchmarkIForestSmallCell is one cold iForest scoring call of a
+// small-scale paper-grid cell (n=250, 3d view, 50 trees, ψ=128, 3
+// repetitions) — the call that dominates the end-to-end paper grid's CPU.
+// scripts/check.sh gates its ratio to the brute-force 2d kNN loop.
+func BenchmarkIForestSmallCell(b *testing.B) {
+	b.ReportAllocs()
+	view := benchView(b, 250, 3)
+	det := &IsolationForest{Trees: 50, Subsample: 128, Repetitions: 3, Seed: 1}
+	for i := 0; i < b.N; i++ {
+		if _, err := det.Scores(ctx, view); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -101,10 +101,10 @@ type inflightCall struct {
 	err    error // non-nil when the leader failed (error or panic)
 }
 
-// NewCached wraps d with a score memo keyed by (dataset name, subspace);
-// datasets scored through one cache must therefore carry distinct names.
-// The memo holds at most DefaultCacheBytes of scores; use NewCachedBudget
-// to tune the bound.
+// NewCached wraps d with a score memo keyed by (dataset identity,
+// subspace): View.SourceKey embeds the dataset's process-unique ID, so two
+// datasets that share a name never share scores. The memo holds at most
+// DefaultCacheBytes of scores; use NewCachedBudget to tune the bound.
 func NewCached(d core.Detector) *Cached {
 	return NewCachedBudget(d, DefaultCacheBytes)
 }
@@ -142,7 +142,7 @@ func (c *Cached) Inner() core.Detector { return c.inner }
 // when its own ctx is cancelled, returning ctx's error without waiting for
 // the leader.
 func (c *Cached) Scores(ctx context.Context, v *dataset.View) ([]float64, error) {
-	key := v.Dataset().Name() + "|" + v.Subspace().Key()
+	key := v.SourceKey() + "|" + v.SubspaceKey()
 	c.mu.Lock()
 	c.calls++
 	c.mu.Unlock()
@@ -256,7 +256,7 @@ func (c *Cached) ScoresWithStats(ctx context.Context, v *dataset.View) (scores [
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	key := v.Dataset().Name() + "|" + v.Subspace().Key()
+	key := v.SourceKey() + "|" + v.SubspaceKey()
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*cacheEntry)
@@ -310,18 +310,16 @@ func (c *Cached) CacheStats() CacheStats {
 	}
 }
 
-// Forget drops every memoised score vector belonging to the named dataset.
-// Memo keys embed the dataset NAME (not the process-unique ID), so owners
-// of short-lived datasets with generated unique names — the stream
-// monitor's windows — call Forget when a dataset dies to release its
-// entries eagerly instead of waiting for LRU pressure. Computations in
-// flight publish after Forget returns and die with the next Forget (or
-// under the byte budget).
-func (c *Cached) Forget(datasetName string) {
-	if datasetName == "" {
+// Forget drops every memoised score vector of the dataset with the given
+// SourceKey. Owners of short-lived datasets — the stream monitor's windows
+// — call it when a dataset dies to release its entries eagerly instead of
+// waiting for LRU pressure. Computations in flight publish after Forget
+// returns and die with the next Forget (or under the byte budget).
+func (c *Cached) Forget(sourceKey string) {
+	if sourceKey == "" {
 		return
 	}
-	prefix := datasetName + "|"
+	prefix := sourceKey + "|"
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for key, el := range c.entries {

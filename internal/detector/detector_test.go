@@ -346,6 +346,50 @@ func TestCachedDetector(t *testing.T) {
 	}
 }
 
+// TestCachedKeysOnDatasetIdentity pins that the score memo keys on
+// View.SourceKey, not the dataset name: two distinct datasets that are both
+// called "data" each get their own scores through one memo, and Forget
+// releases exactly one of them.
+func TestCachedKeysOnDatasetIdentity(t *testing.T) {
+	mk := func(seed int64) *dataset.Dataset {
+		rng := rand.New(rand.NewSource(seed))
+		cols := [][]float64{make([]float64, 60), make([]float64, 60)}
+		for f := range cols {
+			for i := range cols[f] {
+				cols[f][i] = rng.NormFloat64()
+			}
+		}
+		ds, err := dataset.New("data", cols, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	a, b := mk(1), mk(2)
+	sub := subspace.New(0, 1)
+	c := NewCached(NewKNNDist(10))
+	for _, ds := range []*dataset.Dataset{a, b} {
+		got := mustScores(t, c, ds.View(sub))
+		want := mustScores(t, NewKNNDist(10), ds.View(sub))
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("dataset %s: memo score[%d] = %v, want %v", ds.SourceKey(), i, got[i], want[i])
+			}
+		}
+	}
+	if calls, hits := c.Stats(); calls != 2 || hits != 0 {
+		t.Fatalf("two same-named datasets: calls=%d hits=%d, want 2 misses", calls, hits)
+	}
+	c.Forget(a.SourceKey())
+	if cs := c.CacheStats(); cs.Entries != 1 {
+		t.Fatalf("after Forget(a): %d entries resident, want 1", cs.Entries)
+	}
+	mustScores(t, c, b.View(sub))
+	if _, hits := c.Stats(); hits != 1 {
+		t.Fatalf("Forget(a) dropped b's entry: hits=%d, want 1", hits)
+	}
+}
+
 func TestDetectorsImplementInterface(t *testing.T) {
 	var _ core.Detector = NewLOF(15)
 	var _ core.Detector = NewFastABOD(10)

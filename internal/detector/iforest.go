@@ -93,20 +93,28 @@ func (f *IsolationForest) Scores(ctx context.Context, v *dataset.View) ([]float6
 	// arena, the sample permutation, and the partition spill are all sized
 	// once, so a whole forest build performs no per-node allocations.
 	b := newForestBuilder(v, f.trees(), psi)
+	c := b.c[psi]
+	// Each scoring shard gathers a point's row into its own slot of rows
+	// once per forest; the trees then walk that row, never the view.
+	dim := len(b.cols)
+	rows := make([]float64, parallel.ShardCount(f.Workers, n)*dim)
 	for r := 0; r < reps; r++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		rng := rand.New(rand.NewSource(base + int64(r)*int64(0x9E3779B97F4A7C15&0x7FFFFFFFFFFFFFFF)))
 		forest := b.buildForest(rng)
-		c := averagePathLength(float64(psi))
 		// Each point's traversal of the (now immutable) forest is
 		// independent and accumulates into its own slot, in the same
 		// repetition order as the serial loop — bit-identical output.
-		err := parallel.ForEach(ctx, f.Workers, n, func(i int) {
+		err := parallel.ForEachShard(ctx, f.Workers, n, func(shard, i int) {
+			x := rows[shard*dim : (shard+1)*dim]
+			for j, col := range b.cols {
+				x[j] = col[i]
+			}
 			var sum float64
 			for _, t := range forest {
-				sum += t.pathLength(v.Point(i))
+				sum += t.pathLength(x)
 			}
 			e := sum / float64(len(forest))
 			scores[i] += math.Pow(2, -e/c)
@@ -131,18 +139,25 @@ func hashString(s string) int64 {
 	return int64(h)
 }
 
-// iTree is one isolation tree stored as a flat node array.
+// iTree is one isolation tree stored as a flat node array; node 0 is the
+// root.
 type iTree struct {
 	nodes []iNode
 }
 
+// iNode is one 16-byte tree node.
+//
+// Interior (feature ≥ 0): value is the split on view column feature, and
+// the children are the adjacent pair kids (x < value) and kids+1
+// (otherwise, NaN included).
+//
+// Leaf (feature == -1): value is the finished path length h(x) of every
+// point landing here — the leaf's depth plus the c(size) adjustment for
+// its unbuilt subtree — so traversal does no arithmetic beyond the walk.
 type iNode struct {
-	// Interior: feature ≥ 0, split value, children indexes.
-	// Leaf: feature == -1, size = number of training points in the leaf.
-	feature     int
-	split       float64
-	left, right int
-	size        int
+	value   float64
+	feature int32
+	kids    int32
 }
 
 // forestBuilder owns the flat buffers a forest build works in: one node
@@ -152,15 +167,21 @@ type iNode struct {
 // nodes, so the arena cap is exact — which makes a whole forest build (and
 // every later repetition reusing the builder) free of per-node allocations.
 //
-// The builder replays exactly the allocation-heavy recursion it replaced:
-// the RNG is consulted at the same call sites in the same order, the
-// partition is stable on both sides, and leaf conditions are unchanged, so
-// the produced forests — and therefore the scores — are bit-identical.
+// The builder reads the view column by column (View.Column is zero-copy),
+// so building never materialises the view's rows. A node's children are
+// reserved as an adjacent pair when it splits and then built left subtree
+// first, so the RNG is consulted at the same call sites in the same order
+// as the original recursion; the partition is stable on both sides and the
+// leaf conditions are unchanged, so the produced forests — and therefore
+// the scores — are bit-identical to it.
 type forestBuilder struct {
-	v           *dataset.View
+	cols        [][]float64 // the view's columns, one per subspace feature
 	trees       int
 	psi         int
 	heightLimit int
+	// c[s] is c(s), the expected path length of an unbuilt subtree over s
+	// points, for every leaf size 0..ψ.
+	c []float64
 	// arena backs every tree's nodes; tree t's slice is a sub-slice with
 	// node ids local to its own base, so pathLength still walks from 0.
 	arena  []iNode
@@ -180,16 +201,25 @@ func newForestBuilder(v *dataset.View, trees, psi int) *forestBuilder {
 	if heightLimit < 1 {
 		heightLimit = 1
 	}
+	cols := make([][]float64, v.Dim())
+	for j := range cols {
+		cols[j] = v.Column(j)
+	}
+	c := make([]float64, psi+1)
+	for s := range c {
+		c[s] = averagePathLength(float64(s))
+	}
 	return &forestBuilder{
-		v:           v,
+		cols:        cols,
 		trees:       trees,
 		psi:         psi,
 		heightLimit: heightLimit,
+		c:           c,
 		arena:       make([]iNode, 0, trees*(2*psi-1)),
 		forest:      make([]iTree, trees),
 		sample:      make([]int, v.N()),
 		work:        make([]int, psi),
-		spill:       make([]int, 0, psi),
+		spill:       make([]int, psi),
 	}
 }
 
@@ -210,35 +240,34 @@ func (b *forestBuilder) buildForest(rng *rand.Rand) []iTree {
 		}
 		copy(b.work, b.sample[:b.psi])
 		base := len(b.arena)
-		b.node(b.work, 0, base, rng)
+		b.arena = append(b.arena, iNode{})
+		b.node(b.work, 0, base, base, rng)
 		b.forest[t].nodes = b.arena[base:len(b.arena):len(b.arena)]
 	}
 	return b.forest
 }
 
-// node appends the subtree over idx to the arena and returns its node index
-// relative to base (the owning tree's first arena slot). idx is partitioned
-// in place; recursion happens only after the spill buffer has been copied
-// back, so one shared spill serves the whole build.
-func (b *forestBuilder) node(idx []int, depth, base int, rng *rand.Rand) int {
-	v := b.v
-	nodeID := len(b.arena) - base
-	b.arena = append(b.arena, iNode{})
-	if depth >= b.heightLimit || len(idx) <= 1 || allIdentical(v, idx) {
-		b.arena[base+nodeID] = iNode{feature: -1, size: len(idx)}
-		return nodeID
+// node fills the reserved arena slot at with the subtree over idx and
+// appends the subtree's descendants behind it; base is the owning tree's
+// first arena slot, against which child indexes are stored. idx is
+// partitioned in place; recursion happens only after the spill buffer has
+// been copied back, so one shared spill serves the whole build.
+func (b *forestBuilder) node(idx []int, depth, at, base int, rng *rand.Rand) {
+	if depth >= b.heightLimit || len(idx) <= 1 || b.allIdentical(idx) {
+		b.leaf(at, depth, len(idx))
+		return
 	}
-	dim := v.Dim()
 	// Pick a feature with a non-degenerate range; give up after a few
 	// attempts (points can coincide on random features).
 	var feature int
 	var lo, hi float64
 	found := false
 	for attempt := 0; attempt < 8 && !found; attempt++ {
-		feature = rng.Intn(dim)
+		feature = rng.Intn(len(b.cols))
+		col := b.cols[feature]
 		lo, hi = math.Inf(1), math.Inf(-1)
 		for _, i := range idx {
-			val := v.Point(i)[feature]
+			val := col[i]
 			if val < lo {
 				lo = val
 			}
@@ -249,44 +278,55 @@ func (b *forestBuilder) node(idx []int, depth, base int, rng *rand.Rand) int {
 		found = hi > lo
 	}
 	if !found {
-		b.arena[base+nodeID] = iNode{feature: -1, size: len(idx)}
-		return nodeID
+		b.leaf(at, depth, len(idx))
+		return
 	}
 	split := lo + rng.Float64()*(hi-lo)
 	// Stable in-place partition: the left side compacts forward, the right
 	// side detours through spill and is copied back behind it, preserving
 	// the relative order the append-based recursion produced on both sides.
-	spill := b.spill[:0]
-	w := 0
+	// Every index is written to both sides and only the matching cursor
+	// advances (idx[w] is never ahead of the read position), so the
+	// data-dependent comparison costs no branch.
+	col := b.cols[feature]
+	spill := b.spill[:len(idx)]
+	w, s := 0, 0
 	for _, i := range idx {
-		if v.Point(i)[feature] < split {
-			idx[w] = i
-			w++
-		} else {
-			spill = append(spill, i)
-		}
+		left := b2i(col[i] < split)
+		idx[w] = i
+		spill[s] = i
+		w += left
+		s += 1 - left
 	}
-	copy(idx[w:], spill)
-	b.spill = spill
+	copy(idx[w:], spill[:s])
 	if w == 0 || w == len(idx) {
-		b.arena[base+nodeID] = iNode{feature: -1, size: len(idx)}
-		return nodeID
+		b.leaf(at, depth, len(idx))
+		return
 	}
-	l := b.node(idx[:w], depth+1, base, rng)
-	r := b.node(idx[w:], depth+1, base, rng)
-	b.arena[base+nodeID] = iNode{feature: feature, split: split, left: l, right: r}
-	return nodeID
+	kids := len(b.arena)
+	b.arena = append(b.arena, iNode{}, iNode{})
+	b.arena[at] = iNode{value: split, feature: int32(feature), kids: int32(kids - base)}
+	b.node(idx[:w], depth+1, kids, base, rng)
+	b.node(idx[w:], depth+1, kids+1, base, rng)
 }
 
-func allIdentical(v *dataset.View, idx []int) bool {
+// leaf finishes the arena slot at as a leaf over size training points at
+// the given depth.
+func (b *forestBuilder) leaf(at, depth, size int) {
+	b.arena[at] = iNode{value: float64(depth) + b.c[size], feature: -1}
+}
+
+// allIdentical reports whether every point of idx coincides on every view
+// column (NaN never equals itself, so a NaN coordinate makes points
+// differ).
+func (b *forestBuilder) allIdentical(idx []int) bool {
 	if len(idx) < 2 {
 		return true
 	}
-	first := v.Point(idx[0])
-	for _, i := range idx[1:] {
-		p := v.Point(i)
-		for d := range p {
-			if p[d] != first[d] {
+	for _, col := range b.cols {
+		first := col[idx[0]]
+		for _, i := range idx[1:] {
+			if col[i] != first {
 				return false
 			}
 		}
@@ -294,23 +334,27 @@ func allIdentical(v *dataset.View, idx []int) bool {
 	return true
 }
 
-// pathLength returns h(x): the depth at which x lands in a leaf plus the
-// c(size) adjustment for unbuilt subtrees.
-func (t *iTree) pathLength(x []float64) float64 {
-	nodeID := 0
-	depth := 0
+// pathLength returns h(x): the path length stored in the leaf x lands in.
+func (t iTree) pathLength(x []float64) float64 {
+	nodes := t.nodes
+	k := 0
 	for {
-		node := t.nodes[nodeID]
-		if node.feature == -1 {
-			return float64(depth) + averagePathLength(float64(node.size))
+		nd := &nodes[k]
+		if nd.feature < 0 {
+			return nd.value
 		}
-		if x[node.feature] < node.split {
-			nodeID = node.left
-		} else {
-			nodeID = node.right
-		}
-		depth++
+		k = int(nd.kids) + 1 - b2i(x[nd.feature] < nd.value)
 	}
+}
+
+// b2i is 1 for true and 0 for false. The compiler lowers it to a flag set
+// instead of a branch, so the data-dependent left/right choices of
+// pathLength and of the build's partition cost no mispredicted branches.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // averagePathLength is c(n), the average path length of an unsuccessful BST

@@ -65,7 +65,7 @@ func lruTestbed(t *testing.T, fit int) (*dataset.Dataset, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := entryBytes(ds.Name()+"|"+subspace.New(0).Key(), make([]float64, ds.N()))
+	one := entryBytes(ds.SourceKey()+"|"+subspace.New(0).Key(), make([]float64, ds.N()))
 	return ds, int64(fit) * one
 }
 

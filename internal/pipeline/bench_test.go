@@ -69,7 +69,8 @@ func BenchmarkRunGrid(b *testing.B) {
 // per grid; "unshared" gives each detector a private plane, reproducing the
 // previous per-detector caching. Both arms use score-cached detectors (the
 // paper-grid configuration). The shared/unshared gap is the cross-detector
-// dedup win, measured on the same box in the same run.
+// dedup win, measured on the same box in the same run. Both arms sweep the
+// grid's worker budget (1 and 2) the way BenchmarkRunGrid does.
 func BenchmarkRunGridKNN(b *testing.B) {
 	b.ReportAllocs()
 	ds, gt, err := synth.GenerateSubspaceOutliers(synth.SubspaceConfig{
@@ -84,33 +85,35 @@ func BenchmarkRunGridKNN(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := gridBenchOptions()
-	for _, mode := range []string{"shared", "unshared"} {
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var dets []NamedDetector
-				if mode == "shared" {
-					dets = knnDetectors(neighbors.NewPlane(0))
-				} else {
-					dets = knnDetectors(nil)
+	for _, w := range []int{1, 2} {
+		for _, mode := range []string{"shared", "unshared"} {
+			b.Run(fmt.Sprintf("workers=%d/%s", w, mode), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var dets []NamedDetector
+					if mode == "shared" {
+						dets = knnDetectors(neighbors.NewPlane(0))
+					} else {
+						dets = knnDetectors(nil)
+						for j := range dets {
+							dets[j].Detector.(neighborsSetter).SetNeighbors(neighbors.NewPlane(0))
+						}
+					}
 					for j := range dets {
-						dets[j].Detector.(neighborsSetter).SetNeighbors(neighbors.NewPlane(0))
+						dets[j].Detector = detector.NewCached(dets[j].Detector)
+					}
+					res, err := RunGrid(context.Background(), GridSpec{
+						Dataset: ds, GroundTruth: gt, Dims: []int{2}, Seed: 1,
+						Options: opts, Detectors: dets, Workers: w,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(res) == 0 {
+						b.Fatal("empty grid result")
 					}
 				}
-				for j := range dets {
-					dets[j].Detector = detector.NewCached(dets[j].Detector)
-				}
-				res, err := RunGrid(context.Background(), GridSpec{
-					Dataset: ds, GroundTruth: gt, Dims: []int{2}, Seed: 1,
-					Options: opts, Detectors: dets, Workers: 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res) == 0 {
-					b.Fatal("empty grid result")
-				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -181,9 +181,10 @@ func (c *Config) validate() error {
 }
 
 // cacheForgetter is the optional release hook of score-memoising detectors
-// (detector.Cached): dropping every memo entry of one named dataset.
+// (detector.Cached): dropping every memo entry of the dataset with the
+// given SourceKey.
 type cacheForgetter interface {
-	Forget(datasetName string)
+	Forget(sourceKey string)
 }
 
 // Monitor is a sliding-window outlier detection + explanation pipeline.
@@ -407,7 +408,7 @@ func (m *Monitor) release(ds *dataset.Dataset) error {
 	}
 	m.cfg.Plane.Forget(ds.SourceKey())
 	if f, ok := m.cfg.Detector.(cacheForgetter); ok {
-		f.Forget(ds.Name())
+		f.Forget(ds.SourceKey())
 	}
 	if m.cfg.Tombstones != nil {
 		if err := m.cfg.Tombstones.AppendForget(ds.Name()); err != nil {

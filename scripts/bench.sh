@@ -28,7 +28,25 @@ else
     out="results/BENCH_$((${last:-0} + 1)).json"
 fi
 raw="$(mktemp)"
-trap 'rm -f "$raw"' EXIT
+trap 'rm -f "$raw" "$raw".gate*' EXIT
+
+# The iForest gate pair first, measured the way scripts/check.sh measures
+# it: the small paper-grid iForest cell and the brute-force 2d kNN
+# reference loop, each alone in its own process at -cpu 1 (inside the
+# AllKNN sweep below the reference loop runs measurably slower). Single
+# rounds of this ratio spread about ±20% on a shared host, so the snapshot
+# keeps the round with the MEDIAN ratio of five: the gate's best-of-three
+# estimate sits below a typical round, which keeps host noise from failing
+# it while a real regression of the cell still does. The JSON writer keeps
+# the first sighting of a key, so the sweep's own unsuffixed
+# AllKNN/brute/2d row is superseded by this one.
+for i in 1 2 3 4 5; do
+    go test -run '^$' -bench 'BenchmarkIForestSmallCell$' -benchmem -benchtime=50x -cpu 1 ./internal/detector >"$raw.gate$i"
+    go test -run '^$' -bench 'BenchmarkAllKNN/brute/2d$' -benchmem -benchtime=20x -cpu 1 ./internal/neighbors >>"$raw.gate$i"
+    awk -v i="$i" '$1 ~ /^Benchmark/ { for (f = 2; f <= NF; f++) if ($f == "ns/op") v[n++] = $(f-1) }
+        END { printf("%.6f %d\n", v[0] / v[1], i) }' "$raw.gate$i"
+done | sort -n | sed -n 3p | { read -r _ median; cat "$raw.gate$median"; } >>"$raw"
+rm -f "$raw".gate*
 
 # Key benchmarks, lowest layer first: the exact-distance kernel sweep
 # (full vs early-exit accumulation across view widths), kNN substrate
