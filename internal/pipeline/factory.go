@@ -51,8 +51,9 @@ type Options struct {
 	BeamVariableDim bool // ablation: plain Beam instead of Beam_FX
 
 	// Workers bounds the goroutines of each pipeline's inner loops (per
-	// explained point, per ranked summary subspace, and the explainers'
-	// per-stage candidate/pool scoring); values ≤ 1 keep them serial.
+	// explained point, per ranked summary subspace, the explainers'
+	// per-stage candidate/pool scoring, LookOut's candidate scoring and
+	// HiCS's contrast search and ranking); values ≤ 1 keep them serial.
 	// Inside RunGrid this acts as an explicit override of the automatic
 	// worker-budget split.
 	Workers int
@@ -114,6 +115,7 @@ func SummaryPipelines(d NamedDetector, seed int64, o Options) []SummaryPipeline 
 	lookout := &summarize.LookOut{
 		Detector: lookoutTimer,
 		Budget:   o.LookOutBudget,
+		Workers:  o.Workers,
 	}
 	hicsTimer := detector.NewTimed(d.Detector)
 	hics := &summarize.HiCS{
@@ -124,6 +126,7 @@ func SummaryPipelines(d NamedDetector, seed int64, o Options) []SummaryPipeline 
 		FixedDim:        true,
 		TopK:            o.TopK,
 		Seed:            seed,
+		Workers:         o.Workers,
 	}
 	// The Ranker bypasses the timer: its scoring happens in the evaluation
 	// phase, which Duration (and the scoring/search split) excludes.

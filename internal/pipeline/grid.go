@@ -341,8 +341,10 @@ func buildCells(spec GridSpec, inner int) []gridCell {
 				pp.Workers = 1
 				addPoint(pp, dim)
 			}
-			// Summarizers have no internal worker knob, so the per-subspace
-			// ranking loop is the budget's single application on this path.
+			// The factory gave the summarizers opts.Workers for their
+			// candidate scoring. The per-subspace ranking loop runs after
+			// the summary is built, never beside it, so it takes the same
+			// inner budget without stacking.
 			for _, sp := range SummaryPipelines(d, spec.Seed, opts) {
 				sp.Workers = inner
 				addSummary(sp, dim)

@@ -166,6 +166,15 @@ func TestPipelineFactories(t *testing.T) {
 	if sps[0].Summarizer.Name() != "LookOut" || sps[1].Summarizer.Name() != "HiCS_FX" {
 		t.Errorf("pipeline names: %s, %s", sps[0].Summarizer.Name(), sps[1].Summarizer.Name())
 	}
+	// The summarizers' candidate scoring gets the same worker budget as the
+	// point explainers'.
+	sps = SummaryPipelines(det, 1, Options{Workers: 3})
+	if w := sps[0].Summarizer.(*summarize.LookOut).Workers; w != 3 {
+		t.Errorf("LookOut.Workers = %d, want 3", w)
+	}
+	if w := sps[1].Summarizer.(*summarize.HiCS).Workers; w != 3 {
+		t.Errorf("HiCS.Workers = %d, want 3", w)
+	}
 	// Ablation switches.
 	abl := PointPipelines(det, 1, Options{RawScores: true, BeamVariableDim: true})
 	if abl[0].Explainer.Name() != "Beam" {

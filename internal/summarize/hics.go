@@ -8,6 +8,7 @@ import (
 
 	"anex/internal/core"
 	"anex/internal/dataset"
+	"anex/internal/parallel"
 	"anex/internal/stats"
 	"anex/internal/subspace"
 )
@@ -57,6 +58,10 @@ type HiCS struct {
 	// maximum matches summarization semantics (see rank); the mean is
 	// kept for ablation — it drowns subspaces relevant to small groups.
 	RankByMean bool
+	// Workers bounds the goroutines scoring candidates — the contrast
+	// search's stages and the detector ranking alike; values ≤ 1 keep both
+	// serial. Results are identical at any worker count.
+	Workers int
 }
 
 // NewHiCS returns a HiCS summariser with the paper's settings.
@@ -106,7 +111,8 @@ func (h *HiCS) topK() int {
 
 // Summarize searches high-contrast subspaces up to targetDim and returns
 // them ranked for the given points of interest by the detector. Both the
-// contrast search and the ranking observe ctx between subspaces.
+// contrast search and the ranking observe ctx between subspaces; on a
+// detector failure the first error in candidate order is returned.
 func (h *HiCS) Summarize(ctx context.Context, ds *dataset.Dataset, points []int, targetDim int) ([]core.ScoredSubspace, error) {
 	if err := core.ValidateSummarizeArgs(ds, points, targetDim); err != nil {
 		return nil, fmt.Errorf("hics: %w", err)
@@ -131,31 +137,36 @@ func (h *HiCS) Summarize(ctx context.Context, ds *dataset.Dataset, points []int,
 // SearchContrastSubspaces runs the detector-independent part of HiCS: the
 // stage-wise search for high-contrast subspaces up to maxDim. Results carry
 // the contrast as score, best first. Exposed separately so the contrast
-// search can be benchmarked and reused without a detector. The search
-// observes ctx between contrast computations, so cancellation aborts with
-// ctx's error.
+// search can be benchmarked and reused without a detector. Each stage's
+// candidates are evaluated over the Workers budget with the same result at
+// any worker count; cancelling ctx aborts with ctx's error.
 func (h *HiCS) SearchContrastSubspaces(ctx context.Context, ds *dataset.Dataset, maxDim int) ([]core.ScoredSubspace, error) {
 	rng := rand.New(rand.NewSource(h.Seed))
 	est := newContrastEstimator(ds, h.alpha(), h.mcIterations(), h.Test, rng)
 	cutoff := h.cutoff()
-	done := ctx.Done()
+	score := func(cands []subspace.Subspace) ([]core.ScoredSubspace, error) {
+		contrasts, err := est.contrasts(ctx, cands, h.Workers)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]core.ScoredSubspace, len(cands))
+		for i, c := range cands {
+			out[i] = core.ScoredSubspace{Subspace: c, Score: contrasts[i]}
+		}
+		core.SortByScore(out)
+		return core.TopK(out, cutoff), nil
+	}
 
 	// Stage 1: all 2d subspaces, exhaustively.
-	var stage []core.ScoredSubspace
+	var cands []subspace.Subspace
 	enum := subspace.NewEnumerator(ds.D(), 2)
 	for s := enum.Next(); s != nil; s = enum.Next() {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
-		}
-		sub := s.Clone()
-		stage = append(stage, core.ScoredSubspace{Subspace: sub, Score: est.contrast(sub)})
+		cands = append(cands, s.Clone())
 	}
-	core.SortByScore(stage)
-	stage = core.TopK(stage, cutoff)
+	stage, err := score(cands)
+	if err != nil {
+		return nil, err
+	}
 
 	global := make([]core.ScoredSubspace, len(stage))
 	copy(global, stage)
@@ -163,7 +174,7 @@ func (h *HiCS) SearchContrastSubspaces(ctx context.Context, ds *dataset.Dataset,
 	// Later stages: extend the high-contrast candidates by one feature.
 	for dim := 3; dim <= maxDim; dim++ {
 		seen := make(map[string]bool)
-		var next []core.ScoredSubspace
+		cands = cands[:0]
 		for _, cur := range stage {
 			for f := 0; f < ds.D(); f++ {
 				if cur.Subspace.Contains(f) {
@@ -175,18 +186,12 @@ func (h *HiCS) SearchContrastSubspaces(ctx context.Context, ds *dataset.Dataset,
 					continue
 				}
 				seen[key] = true
-				if done != nil {
-					select {
-					case <-done:
-						return nil, ctx.Err()
-					default:
-					}
-				}
-				next = append(next, core.ScoredSubspace{Subspace: cand, Score: est.contrast(cand)})
+				cands = append(cands, cand)
 			}
 		}
-		core.SortByScore(next)
-		stage = core.TopK(next, cutoff)
+		if stage, err = score(cands); err != nil {
+			return nil, err
+		}
 		if h.FixedDim {
 			continue
 		}
@@ -233,11 +238,14 @@ func pruneDominated(list []core.ScoredSubspace) []core.ScoredSubspace {
 // even if it explains only a few of them — exactly LookOut's coverage
 // objective. A mean would drown subspaces relevant to small outlier groups.
 func (h *HiCS) rank(ctx context.Context, ds *dataset.Dataset, points []int, candidates []core.ScoredSubspace) ([]core.ScoredSubspace, error) {
-	out := make([]core.ScoredSubspace, 0, len(candidates))
-	for _, c := range candidates {
-		scores, err := h.Detector.Scores(ctx, ds.View(c.Subspace))
+	out := make([]core.ScoredSubspace, len(candidates))
+	errs := make([]error, len(candidates))
+	ctxErr := parallel.ForEach(ctx, h.Workers, len(candidates), func(i int) {
+		c := candidates[i].Subspace
+		scores, err := h.Detector.Scores(ctx, ds.View(c))
 		if err != nil {
-			return nil, err
+			errs[i] = err
+			return
 		}
 		z := stats.ZScores(scores)
 		var score float64
@@ -254,7 +262,15 @@ func (h *HiCS) rank(ctx context.Context, ds *dataset.Dataset, points []int, cand
 				}
 			}
 		}
-		out = append(out, core.ScoredSubspace{Subspace: c.Subspace, Score: score})
+		out[i] = core.ScoredSubspace{Subspace: c, Score: score}
+	})
+	if ctxErr != nil {
+		return nil, ctxErr
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	core.SortByScore(out)
 	return out, nil

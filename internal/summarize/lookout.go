@@ -15,6 +15,7 @@ import (
 
 	"anex/internal/core"
 	"anex/internal/dataset"
+	"anex/internal/parallel"
 	"anex/internal/subspace"
 )
 
@@ -42,6 +43,10 @@ type LookOut struct {
 	Detector core.Detector
 	// Budget is the number of subspaces to select; zero means 100.
 	Budget int
+	// Workers bounds the goroutines scoring the enumerated candidates;
+	// values ≤ 1 keep the enumeration serial. The selection is identical
+	// at any worker count.
+	Workers int
 }
 
 // NewLookOut returns a LookOut summariser with the paper's settings.
@@ -73,25 +78,40 @@ func (l *LookOut) Summarize(ctx context.Context, ds *dataset.Dataset, points []i
 	}
 
 	// Phase 1: exhaustively score every candidate subspace for the points
-	// of interest.
+	// of interest. Each candidate writes only its own row of the flat
+	// candidate-major matrix, so the matrix is identical at any worker
+	// count; on failure the first error in candidate order is returned.
 	nPoints := len(points)
 	subs := make([]subspace.Subspace, 0, total)
-	scores := make([]float64, 0, int(total)*nPoints) // flat candidate-major matrix
 	enum := subspace.NewEnumerator(ds.D(), targetDim)
-	globalMin := math.Inf(1)
 	for s := enum.Next(); s != nil; s = enum.Next() {
-		sub := s.Clone()
-		all, err := l.Detector.Scores(ctx, ds.View(sub))
+		subs = append(subs, s.Clone())
+	}
+	scores := make([]float64, len(subs)*nPoints)
+	errs := make([]error, len(subs))
+	ctxErr := parallel.ForEach(ctx, l.Workers, len(subs), func(c int) {
+		all, err := l.Detector.Scores(ctx, ds.View(subs[c]))
+		if err != nil {
+			errs[c] = err
+			return
+		}
+		row := scores[c*nPoints : (c+1)*nPoints]
+		for j, p := range points {
+			row[j] = all[p]
+		}
+	})
+	if ctxErr != nil {
+		return nil, ctxErr
+	}
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		subs = append(subs, sub)
-		for _, p := range points {
-			v := all[p]
-			scores = append(scores, v)
-			if v < globalMin {
-				globalMin = v
-			}
+	}
+	globalMin := math.Inf(1)
+	for _, v := range scores {
+		if v < globalMin {
+			globalMin = v
 		}
 	}
 	// The objective requires non-negative scores (property (i) of the

@@ -291,21 +291,31 @@ func TestHiCSErrors(t *testing.T) {
 	}
 }
 
+// contrastOf estimates one subspace's contrast, drawing from est's RNG.
+func contrastOf(t *testing.T, est *contrastEstimator, s subspace.Subspace) float64 {
+	t.Helper()
+	c, err := est.contrasts(context.Background(), []subspace.Subspace{s}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c[0]
+}
+
 func TestContrastNoiseVsPlanted(t *testing.T) {
 	ds, gt := testbed(t, 14)
 	rng := rand.New(rand.NewSource(1))
 	est := newContrastEstimator(ds, 0.1, 80, WelchTest, rng)
 	planted := gt.AllSubspaces()[0]
 	noisePair := subspace.New(ds.D()-1, ds.D()-2)
-	cPlanted := est.contrast(planted)
-	cNoise := est.contrast(noisePair)
+	cPlanted := contrastOf(t, est, planted)
+	cNoise := contrastOf(t, est, noisePair)
 	if cPlanted <= cNoise {
 		t.Errorf("planted contrast %v not above noise contrast %v", cPlanted, cNoise)
 	}
 	if cPlanted < 0.5 {
 		t.Errorf("planted contrast %v unexpectedly low", cPlanted)
 	}
-	if deg := est.contrast(subspace.New(0)); deg != 0 {
+	if deg := contrastOf(t, est, subspace.New(0)); deg != 0 {
 		t.Errorf("1d contrast = %v, want 0", deg)
 	}
 }
@@ -361,7 +371,7 @@ func TestPropertyContrastBounds(t *testing.T) {
 			return false
 		}
 		est := newContrastEstimator(ds, 0.2, 20, WelchTest, rand.New(rand.NewSource(seed)))
-		c := est.contrast(subspace.New(0, 1))
+		c := contrastOf(t, est, subspace.New(0, 1))
 		return c >= 0 && c <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

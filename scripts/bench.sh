@@ -57,8 +57,9 @@ rm -f "$raw".gate*
 # the Figure-9 reference workload (BenchmarkFigure9KNNPrune, the PR-8
 # acceptance workload), the quantized-prefilter versus plain-band arms on
 # the same workload (BenchmarkFigure9KNNQuant, the PR-10 acceptance
-# workload), and the Beam/LOF pipeline cell (the paper's Figure 9 hot spot
-# and the acceptance metric).
+# workload), LookOut's candidate scoring at workers 1 and 2, and the
+# Beam/LOF pipeline cell (the paper's Figure 9 hot spot and the acceptance
+# metric).
 #
 # The -cpu 1,2,4 sweeps are the first multi-core baselines: AllKNN, the
 # prune arms, and the kNN grid parallelise over workers=GOMAXPROCS, so
@@ -71,6 +72,10 @@ go test -run '^$' -bench 'BenchmarkAllKNN' -benchmem -benchtime=20x -cpu 1,2,4 .
 go test -run '^$' -bench 'BenchmarkDetectors1000x3|BenchmarkCachedDetectorHit' -benchmem -benchtime=10x ./internal/detector >>"$raw"
 go test -run '^$' -bench 'BenchmarkRunGrid$' -benchmem -benchtime=2x ./internal/pipeline >>"$raw"
 go test -run '^$' -bench 'BenchmarkRunGridKNN$' -benchmem -benchtime=2x -cpu 1,2,4 ./internal/pipeline >>"$raw"
+# LookOut's candidate scoring on a cold iForest cell (12d, n=250, 3d) at
+# workers 1 and 2: the summarizer half of the worker-scaling record, and
+# the pair check.sh's scaling gate reads alongside RunGrid's.
+go test -run '^$' -bench 'BenchmarkLookOutIForest$' -benchmem -benchtime=3x ./internal/summarize >>"$raw"
 go test -run '^$' -bench 'BenchmarkFigure9KNNPrune$' -benchmem -benchtime=30x -cpu 1,2,4 . >>"$raw"
 go test -run '^$' -bench 'BenchmarkFigure9KNNQuant$' -benchmem -benchtime=30x . >>"$raw"
 go test -run '^$' -bench 'BenchmarkFigure9/(Beam|RefOut)/LOF' -benchmem -benchtime=20x . >>"$raw"

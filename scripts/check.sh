@@ -118,6 +118,45 @@ refgate 'BenchmarkFigure9/Beam/LOF' . 20x results/BENCH_10.json
 # median round of five there).
 refgate 'BenchmarkIForestSmallCell' ./internal/detector 50x results/BENCH_11.json
 
+# Worker-scaling gates: scalegate BENCH PKG BENCHTIME runs BENCH's
+# workers=1 and workers=2 arms in the same process, three rounds, and fails
+# if the best round's workers=2 / workers=1 ratio exceeds 0.65 — a second
+# worker must buy at least a 1.5x speedup. The ratio is self-normalising
+# against host load like the gates below, and noise only ever shrinks the
+# measured gain, so the best round is the honest estimate. On a host with
+# one hardware thread the second worker cannot run in parallel, so the gate
+# says why it skips instead of failing. BenchmarkLookOutIForest is
+# LookOut's candidate scoring on an iForest cell; BenchmarkRunGrid is the
+# whole mini-grid.
+scalegate() {
+    cores="$(nproc)"
+    if [ "$cores" -lt 2 ]; then
+        echo "skipping the $1 scaling gate: nproc is $cores, so workers=2 cannot run in parallel"
+        return 0
+    fi
+    best=""
+    for i in 1 2 3; do
+        out="$(go test -run '^$' -bench "$1\$/^workers=[12]\$" -benchtime="$3" "$2")"
+        w1="$(echo "$out" | getns "^$1/workers=1")"
+        w2="$(echo "$out" | getns "^$1/workers=2")"
+        [ -n "$w1" ] && [ -n "$w2" ]
+        ratio="$(awk -v a="$w2" -v b="$w1" 'BEGIN { printf("%.6f", a / b) }')"
+        echo "round $i: $1 workers=1 ${w1} ns/op, workers=2 ${w2} ns/op, ratio ${ratio}"
+        if [ -z "$best" ] || awk -v a="$ratio" -v b="$best" 'BEGIN { exit !(a < b) }'; then
+            best="$ratio"
+        fi
+    done
+    awk -v name="$1" -v ratio="$best" 'BEGIN {
+        if (ratio > 0.65) {
+            printf("FAIL: %s does not scale: workers=2/workers=1 ratio %.4f > 0.65\n", name, ratio)
+            exit 1
+        }
+        printf("%s: workers=2/workers=1 ratio %.4f (gate 0.65)\n", name, ratio)
+    }'
+}
+scalegate 'BenchmarkLookOutIForest' ./internal/summarize 1x
+scalegate 'BenchmarkRunGrid' ./internal/pipeline 1x
+
 # RunGrid mini-workload perf gate: BenchmarkRunGridKNN runs the Figure-9
 # mini-grid with all three kNN detectors twice in the same process — once
 # with the detectors sharing one neighbourhood plane, once with a private
